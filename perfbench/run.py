@@ -1,14 +1,15 @@
 """Run one benchmark workload and print its metrics.
 
-    python3 perfbench/run.py --workload study-answer --seed 7 --seconds 35 --trace 0
+    python3 perfbench/run.py --workload study-answer --seed 7 --seconds 44 --trace 0
     python3 perfbench/run.py --workload all
 
 Run from the repository root.  The program is imported from ``src/``
-next to this directory.  A run builds the world ``SETUPS`` times
-(``setup_s`` is the median), then repeats fixed passes of the workload
-for ``--seconds`` (at least one pass).  ``run_s`` and ``ops_per_s`` are
-medians over passes; ``p50_ms`` and ``tail_ms`` are percentiles over the
-operations of all passes.
+next to this directory.  A run repeats fixed passes of the workload for
+``--seconds`` (at least one pass), each on a world built fresh for it;
+``setup_s`` is the median build time, over at least ``MIN_SETUPS``
+builds.  ``run_s`` and ``ops_per_s`` are medians over passes; ``p50_ms``
+and ``tail_ms`` are percentiles over the operations of all passes.
+Every time is scaled to a reference host speed (``hostspeed.py``).
 Every pass's output digest must agree, and at a pinned seed must equal
 the digest in ``reference.json``.
 
@@ -21,11 +22,11 @@ line of standard output is always one JSON object:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import os
 import platform
-import random
 import resource
 import statistics
 import subprocess
@@ -36,12 +37,14 @@ from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
+import hostspeed
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 REFERENCE = HERE / "reference.json"
 
-#: World builds per run; ``setup_s`` is their median.
-SETUPS = 3
+#: Fewest world builds per run; ``setup_s`` is their median.
+MIN_SETUPS = 5
 #: Percentile (in hundredths of a percent) reported as ``tail_ms``.
 #: Every pass has at least 1,000 operations, so p99 would still leave
 #: ten samples above it, but on the shared 2-CPU reference box p99's
@@ -49,8 +52,6 @@ SETUPS = 3
 #: serve stream) exceeded the largest bound a metric may have (0.25);
 #: p90 is steadier.
 TAIL = 9000
-#: Latency samples kept per run (every sample, unless a run has more).
-POOL_SIZE = 50_000
 
 END_TO_END = (
     ("setup_s", "s"),
@@ -158,29 +159,19 @@ def _cache_counters(world) -> dict[str, tuple[int, int]]:
     }
 
 
-def _setup(workload, seed: int, inputs, trace: bool):
-    """Build the world ``SETUPS`` times; returns the last world and timings."""
-    from tracing import Tracer, instrument_setup
+def _build(workload, seed: int, inputs, tracer=None):
+    """A fresh world for one pass; returns it and its build time."""
+    from tracing import instrument_setup
 
-    seconds: list[float] = []
-    layers: list[dict] = []
-    world = None
-    for __ in range(SETUPS):
-        world = None
-        gc.collect()
-        tracer = None
-        if trace:
-            tracer = Tracer()
-            instrument_setup(tracer)
-        started = time.perf_counter()
-        try:
-            world = workload.build(seed, inputs)
-        finally:
-            seconds.append(time.perf_counter() - started)
-            if tracer is not None:
-                tracer.patches.restore()
-                layers.append(tracer.spans())
-    return world, seconds, layers
+    gc.collect()
+    if tracer is not None:
+        instrument_setup(tracer)
+    started = time.perf_counter()
+    try:
+        return workload.build(seed, inputs), time.perf_counter() - started
+    finally:
+        if tracer is not None:
+            tracer.patches.restore()
 
 
 @dataclass(frozen=True)
@@ -190,33 +181,6 @@ class PassSummary:
     digest: str
     ops: int
     wall_s: float
-
-
-class LatencyPool:
-    """A uniform sample of every operation latency in a run, of fixed size.
-
-    Percentiles over the pooled operations of all passes are steadier
-    than a median of per-pass percentiles, and the fixed size keeps the
-    pool from growing with the number of passes (which would leak run
-    speed into ``peak_rss_mb``).  Runs with fewer operations than the
-    pool size keep every sample.
-    """
-
-    def __init__(self, size: int = POOL_SIZE) -> None:
-        self.values = array("d")
-        self.seen = 0
-        self._size = size
-        self._rng = random.Random(0)
-
-    def extend(self, latencies: list[float]) -> None:
-        for latency in latencies:
-            if self.seen < self._size:
-                self.values.append(latency)
-            else:
-                slot = self._rng.randrange(self.seen + 1)
-                if slot < self._size:
-                    self.values[slot] = latency
-            self.seen += 1
 
 
 def _run_pass(workload, world, inputs, tracer=None):
@@ -231,46 +195,68 @@ def _run_pass(workload, world, inputs, tracer=None):
 def measure(name: str, seed: int, seconds: float, trace: bool) -> dict:
     """Run one workload; returns the result line plus details.
 
-    Untraced, passes repeat until the next one would end after
-    ``seconds``.  Traced, each round is an untraced pass followed by a
-    traced one: per-layer numbers come from the first traced pass (so
-    counts are per pass), the overhead from the medians of both kinds.
+    Every pass runs on a world built for it, so set-ups are spread over
+    the run and each pass starts cold.  Untraced, rounds of one build
+    and one pass repeat until the next round would end after
+    ``seconds``; then, if fewer than ``MIN_SETUPS`` worlds were built,
+    the rest are built without a pass (a few seconds past ``seconds`` at
+    most).  A ``hostspeed.Sampler`` times the host all the while, and
+    every time is scaled to the reference speed by its mean unit time.
+
+    Traced, each round is an untraced pass followed by a traced one,
+    with times as measured: per-layer numbers come from the first traced
+    pass (so counts are per pass), the overhead from the medians of both
+    kinds.
     """
     from tracing import Tracer
     from workloads import WORKLOADS
 
     workload = WORKLOADS[name]
     inputs = workload.inputs(seed)
-    world, setup_seconds, setup_layers = _setup(workload, seed, inputs, trace)
 
     plain, traced = [], []
-    pool = LatencyPool()
+    setup_seconds, setup_layers = [], []
+    latencies = array("d")
     first_trace = None
     attempted = failed = 0
     crashed = False
-    started = time.perf_counter()
-    while True:
-        for tracer in (None, Tracer()) if trace else (None,):
-            if plain or traced:
-                world.clear_caches()
-            before = _cache_counters(world) if tracer is not None else None
-            result = _run_pass(workload, world, inputs, tracer)
-            if result is None:
-                attempted += plain[-1].ops if plain else 1
-                crashed = True
+    sampler = hostspeed.Sampler()
+    with contextlib.nullcontext() if trace else sampler:
+        started = time.perf_counter()
+        while True:
+            for traced_pass in (False, True) if trace else (False,):
+                setup_tracer = Tracer() if traced_pass else None
+                world, build_s = _build(workload, seed, inputs, setup_tracer)
+                setup_seconds.append(build_s)
+                if setup_tracer is not None:
+                    setup_layers.append(setup_tracer.spans())
+                tracer = Tracer() if traced_pass else None
+                before = _cache_counters(world) if tracer is not None else None
+                result = _run_pass(workload, world, inputs, tracer)
+                if result is None:
+                    attempted += plain[-1].ops if plain else 1
+                    crashed = True
+                    break
+                attempted += result.ops
+                failed += result.failed
+                (plain if tracer is None else traced).append(
+                    PassSummary(result.digest, result.ops, result.wall_s)
+                )
+                if tracer is None:
+                    latencies.extend(result.latencies_s)
+                if tracer is not None and first_trace is None:
+                    first_trace = (tracer, before, _cache_counters(world), result)
+                world = result = None
+            if crashed:
                 break
-            attempted += result.ops
-            failed += result.failed
-            (plain if tracer is None else traced).append(
-                PassSummary(result.digest, result.ops, result.wall_s)
-            )
-            if tracer is None:
-                pool.extend(result.latencies_s)
-            if tracer is not None and first_trace is None:
-                first_trace = (tracer, before, _cache_counters(world), result)
-        elapsed = time.perf_counter() - started
-        if crashed or elapsed + elapsed / len(plain) > seconds:
-            break
+            elapsed = time.perf_counter() - started
+            if elapsed + elapsed / len(plain) > seconds:
+                break
+        if not trace:
+            while len(setup_seconds) < MIN_SETUPS and not crashed:
+                world, build_s = _build(workload, seed, inputs)
+                world = None
+                setup_seconds.append(build_s)
 
     passes = plain + traced
     digests = {p.digest for p in passes}
@@ -289,6 +275,8 @@ def measure(name: str, seed: int, seconds: float, trace: bool) -> dict:
         "attempted": attempted,
         "failed": failed,
         "setup_seconds": setup_seconds,
+        "pass_seconds": [p.wall_s for p in plain],
+        "host_units": len(sampler.units),
     }
     if trace:
         if first_trace is not None:
@@ -305,14 +293,19 @@ def measure(name: str, seed: int, seconds: float, trace: bool) -> dict:
         return report
     if not plain:
         return report
+    # Measured time x scale = time at the reference host speed.
+    unit_s = sampler.unit_seconds()
+    scale = hostspeed.REFERENCE_UNIT_S / unit_s
+    report["host_unit_s"] = unit_s
+    report["scale"] = scale
     report["samples_per_pass"] = plain[0].ops
-    report["pooled_samples"] = len(pool.values)
+    report["samples"] = len(latencies)
     report["metrics"] = {
-        "setup_s": statistics.median(setup_seconds),
-        "run_s": statistics.median(p.wall_s for p in plain),
-        "ops_per_s": statistics.median(p.ops / p.wall_s for p in plain),
-        "p50_ms": 1000 * nearest_rank(pool.values, 5000),
-        "tail_ms": 1000 * nearest_rank(pool.values, TAIL),
+        "setup_s": scale * statistics.median(setup_seconds),
+        "run_s": scale * statistics.median(p.wall_s for p in plain),
+        "ops_per_s": statistics.median(p.ops / p.wall_s for p in plain) / scale,
+        "p50_ms": scale * 1000 * nearest_rank(latencies, 5000),
+        "tail_ms": scale * 1000 * nearest_rank(latencies, TAIL),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     return report
@@ -412,13 +405,25 @@ def describe(report: dict, trace: bool) -> list[str]:
         f"  set-ups {len(report['setup_seconds'])}  nproc {os.cpu_count()}"
         f"  python {platform.python_version()}",
     ]
+    for label, key in (
+        ("set-ups (s, as measured)", "setup_seconds"),
+        ("passes (s, as measured)", "pass_seconds"),
+    ):
+        if report[key]:
+            lines.append(f"  {label:<25} " + " ".join(f"{t:.3f}" for t in report[key]))
+    if "scale" in report:
+        lines.append(
+            f"  {'host unit (ms)':<25} {1000 * report['host_unit_s']:.4f}"
+            f" (mean of {report['host_units']} units; scale to reference speed"
+            f" {report['scale']:.4f})"
+        )
     units = dict(PER_LAYER if trace else END_TO_END)
     for name, value in report.get("metrics", {}).items():
         note = ""
         if name == "tail_ms":
             note = (
                 f"  (p{TAIL / 100:g}: {report['samples_per_pass']} samples per pass,"
-                f" {report['passes']} passes, {report['pooled_samples']} pooled)"
+                f" {report['passes']} passes, {report['samples']} in all)"
             )
         lines.append(f"  {name:<32} {value:>14.6g} {units[name]}{note}")
     lines.append(
@@ -459,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, help="workload name, or 'all'")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--seconds", type=float, default=35.0)
+    parser.add_argument("--seconds", type=float, default=44.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     load_program()

@@ -1,15 +1,14 @@
 """Self-tests of the benchmark itself.
 
-    python3 perfbench/selftest.py                 # every check (~2 min on 2 CPUs)
-    python3 perfbench/selftest.py --only failed   # just the failed_frac checks
+    python3 perfbench/selftest.py     # every check (2-4 min on 2 CPUs)
 
-* ``failed``: ``failed_frac`` is not vacuous.  An unrecoverable
+* ``failed_frac`` is not vacuous.  An unrecoverable
   ``engine.answer`` fault plan on a short serve-cold-sharded stream must
   fail some requests, and the benchmark's count must equal the serve
   loop's own (shed + degraded + partial) / attempted.  A recoverable
   plan on the full stream must keep the pinned digest with nothing
   failed.
-* ``trace``: two traced runs of each workload at the default seed.  Every
+* The trace: two traced runs of each workload at the default seed.  Every
   per-layer metric is present (and matches ``BENCHMARK.json``), self
   times are non-negative and sum to at most the traced wall time per
   tracing thread, every call count repeats exactly, the traced digest
@@ -21,7 +20,6 @@ Exits non-zero on the first failed check.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
@@ -145,18 +143,11 @@ def check_trace(names) -> None:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", choices=("failed", "trace"), default=None)
-    parser.add_argument("--workload", action="append", default=None,
-                        help="restrict the trace checks (repeatable)")
-    args = parser.parse_args()
     run.load_program()
     from workloads import WORKLOADS
 
-    if args.only in (None, "failed"):
-        check_failed_frac()
-    if args.only in (None, "trace"):
-        check_trace(args.workload or list(WORKLOADS))
+    check_failed_frac()
+    check_trace(list(WORKLOADS))
     print("all self-tests passed")
     return 0
 

@@ -176,23 +176,28 @@ def instrument(tracer: Tracer) -> None:
         "cached_answer",
         tracer.counter("engine.memo_peek_hits", when=lambda r: r is not None),
     )
-    wrap(generative, "context_from_pages", tracer.span("engine.context"))
     wrap(model.SimulatedLLM, "rank_entities", tracer.span("llm.rank"))
     wrap(model.SimulatedLLM, "pairwise_judge", tracer.span("llm.pairwise"))
     wrap(context.ContextWindow, "fingerprint", tracer.span("llm.fingerprint"))
     wrap(runner.EvidenceCache, "get_or_compute", tracer.span("evidence"))
     for name in ANALYSIS_FUNCTIONS:
         wrap(study, name, tracer.span("analysis"))
-    # derive_seed is imported by name into several modules; derive_rng
-    # reaches it through the rng module's globals.
-    original = rng.derive_seed
-    seed_counter = tracer.counter("llm.seed")
+    # context_from_pages and derive_seed are imported by name into
+    # several modules (derive_rng reaches derive_seed through the rng
+    # module's globals), so every module-level binding is wrapped.
+    _wrap_everywhere(tracer, "context_from_pages", generative.context_from_pages,
+                     tracer.span("engine.context"))
+    _wrap_everywhere(tracer, "derive_seed", rng.derive_seed, tracer.counter("llm.seed"))
+
+
+def _wrap_everywhere(tracer: Tracer, attr: str, original: Callable, factory: Callable) -> None:
+    """Wrap ``attr`` in every ``repro`` module whose global is ``original``."""
     for module in list(sys.modules.values()):
         if (
             getattr(module, "__name__", "").startswith("repro")
-            and vars(module).get("derive_seed") is original
+            and vars(module).get(attr) is original
         ):
-            wrap(module, "derive_seed", seed_counter)
+            tracer.patches.wrap(module, attr, factory)
 
 
 def instrument_setup(tracer: Tracer) -> None:

@@ -1,10 +1,9 @@
 """The benchmark's workloads.
 
-Each workload makes its inputs from the seed (untimed), builds a world
-(timed: that is ``setup_s``), and then runs *passes*: one pass is a
-fixed unit of work whose output digest must be the same every time.
-Every pass after the first starts from ``World.clear_caches()``, so each
-pass is as cold as the first.
+Each workload makes its inputs from the seed (untimed), and then runs
+*passes*, each on a world built fresh for it (timed: that is
+``setup_s``).  One pass is a fixed unit of work whose output digest must
+be the same every time.
 Everything runs without a resilience context, with the sequential
 study runner and serve width 2, so the load comes from one process
 with at most two busy threads.
@@ -34,6 +33,11 @@ from tracing import Patches, Tracer, instrument
 
 #: Serve-loop worker threads; admission window is the loop default (4x).
 SERVE_WIDTH = 2
+#: The serve stream: uniform popularity over a pool twice its length,
+#: so almost every request misses the memo, on in-process shards.
+SERVE_REQUESTS = 1000
+SERVE_POOL = 2000
+SERVE_SHARDS = 4
 #: Serve outcomes that did not deliver a full answer.
 FAILED_OUTCOMES = ("shed", "degraded", "partial")
 
@@ -84,12 +88,11 @@ def _config(seed: int, shards: int = 0) -> StudyConfig:
 class StudyWorkload:
     """Paper experiments on a fresh world; digest over the rendered texts."""
 
-    def __init__(self, name: str, experiments: tuple[str, ...], op_sites, why: str):
+    def __init__(self, name: str, experiments: tuple[str, ...], op_sites):
         self.name = name
         self.experiments = experiments
         #: (owner, method) pairs whose calls are this workload's operations.
         self.op_sites = op_sites
-        self.why = why
 
     def inputs(self, seed: int) -> None:
         # The study generates its query sets from the world's seed.
@@ -136,42 +139,28 @@ class ServeInputs:
 
 
 class ServeWorkload:
-    """A request stream drained by ``ServeLoop(workers=SERVE_WIDTH)``."""
+    """A uniform request stream drained by ``ServeLoop(workers=SERVE_WIDTH)``
+    on a world with ``SERVE_SHARDS`` in-process search shards."""
 
-    def __init__(
-        self,
-        name: str,
-        *,
-        requests: int,
-        pool_size: int,
-        zipf_s: float,
-        shards: int,
-        why: str,
-    ):
-        self.name = name
-        self.requests = requests
-        self.pool_size = pool_size
-        self.zipf_s = zipf_s
-        self.shards = shards
-        self.why = why
+    name = "serve-cold-sharded"
 
     def inputs(self, seed: int) -> ServeInputs:
         # The default catalog does not depend on the seed, so the stream
         # is generated once, outside the timed set-up.
         catalog = build_default_catalog()
-        pool = query_pool(catalog, self.pool_size, seed=seed)
+        pool = query_pool(catalog, SERVE_POOL, seed=seed)
         profile = LoadProfile(
-            requests=self.requests,
+            requests=SERVE_REQUESTS,
             qps=400.0,
             burstiness=4.0,
-            zipf_s=self.zipf_s,
-            pool_size=self.pool_size,
+            zipf_s=0.0,
+            pool_size=SERVE_POOL,
             seed=seed,
         )
         return ServeInputs(pool=pool, stream=generate_requests(catalog, profile, pool=pool))
 
     def build(self, seed: int, inputs: ServeInputs) -> World:
-        return World.build(_config(seed, shards=self.shards))
+        return World.build(_config(seed, shards=SERVE_SHARDS))
 
     def run_pass(self, world: World, inputs: ServeInputs, tracer: Tracer | None = None) -> PassResult:
         loop = world.serve_loop(workers=SERVE_WIDTH)
@@ -199,27 +188,13 @@ WORKLOADS = {
     workload.name: workload
     for workload in (
         StudyWorkload(
-            "study-answer",
-            ("fig1", "fig2", "fig3", "fig4"),
-            ((AnswerEngine, "answer"),),
-            why="Figures 1-4 at paper size: 7,900 engine answers, where retrieval and "
-            "source selection do most of the work",
+            "study-answer", ("fig1", "fig2", "fig3", "fig4"), ((AnswerEngine, "answer"),)
         ),
         StudyWorkload(
             "study-probe",
             ("table1", "table2", "table3"),
             ((SimulatedLLM, "rank_entities"), (SimulatedLLM, "pairwise_judge")),
-            why="Tables 1-3: thousands of reference-LLM probes over ~200 fixed evidence "
-            "contexts, so the llm layer dominates and retrieval barely shows",
         ),
-        ServeWorkload(
-            "serve-cold-sharded",
-            requests=1000,
-            pool_size=2000,
-            zipf_s=0.0,
-            shards=4,
-            why="uniform stream over a pool twice its length on 4 in-process shards: "
-            "~95% memo misses through the sharded search substrate",
-        ),
+        ServeWorkload(),
     )
 }
