@@ -192,12 +192,15 @@ class World:
     def clear_caches(self) -> None:
         """Reset every world-level memo to a cold state.
 
-        Drops the engine answer memos, the shared evidence cache, and
-        the search substrate's query and snippet caches.  Used by tests
-        that compare cold and warm runs; a study never needs it.
+        Drops the engine answer memos, the shared evidence cache, the
+        search substrate's query and snippet caches, and every in-process
+        scorer's per-term BM25 gain table.  Used by tests that compare
+        cold and warm runs; a study never needs it.
         """
         for engine in self.engines.values():
             engine.clear_cache()
         self.evidence_cache.clear()
+        self.retriever.clear_gains()
         self.search_engine.clear_query_cache()
+        self.search_engine.clear_gains()
         self.search_engine.snippet_cache.clear()

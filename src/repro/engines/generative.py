@@ -97,6 +97,11 @@ class GenerativeEngine(AnswerEngine):
         super().set_resilience(context)
         self._retriever.set_resilience(context)
 
+    def clear_cache(self) -> None:
+        """Drop memoized answers and the retriever's BM25 gain table."""
+        super().clear_cache()
+        self._retriever.clear_gains()
+
     @property
     def policy(self) -> SourcingPolicy:
         return self._policy

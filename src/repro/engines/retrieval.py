@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, replace
 
 from repro.entities.intents import Intent
-from repro.llm.rng import derive_rng
+from repro.llm.rng import SeedPrefix
 from repro.search.bm25 import BM25Scorer
 from repro.search.engine import SearchEngine
 from repro.search.seo import freshness_decay
@@ -28,6 +28,12 @@ from repro.webgraph.domains import DomainRegistry, SourceType
 from repro.webgraph.pages import Page
 
 __all__ = ["Retriever", "ScoredCandidate", "SourcingPolicy", "detect_intent"]
+
+#: The persona score's weighted terms, in summation order.
+COMPONENTS = (
+    "relevance", "type_affinity", "freshness", "authority", "quality",
+    "familiarity", "jitter",
+)
 
 
 _TRANSACTIONAL_CUES = (
@@ -180,6 +186,10 @@ class Retriever:
         """
         return self._index.epoch
 
+    def clear_gains(self) -> None:
+        """Drop the candidate scorer's per-term BM25 gain table."""
+        self._scorer.clear_gains()
+
     def set_resilience(self, context) -> None:
         """Attach (or detach, with ``None``) a resilience context.
 
@@ -223,9 +233,8 @@ class Retriever:
 
         See :meth:`score_components` for the per-signal breakdown.
         """
-        return sum(
-            self.score_components(policy, page, relevance, query_text).values()
-        )
+        [(total, __)] = self._persona_scores(policy, query_text, [(relevance, page)])
+        return total
 
     def candidates(self, query_text: str, policy: SourcingPolicy) -> list[tuple[float, Page]]:
         """BM25 candidate pool under the policy's reformulated query.
@@ -239,11 +248,21 @@ class Retriever:
         scores = self._scorer.score_all(reformulated)
         if not scores:
             return []
-        max_score = max(scores.values())
-        ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+        # Only the pool's survivors need the keyed (-score, doc_id) sort:
+        # every item scoring at least the k-th largest score (ties
+        # included) is a superset of the top k, and the keyed sort of
+        # that superset starts with exactly the full sort's first k.
+        ranked_scores = sorted(scores.values(), reverse=True)
+        max_score = ranked_scores[0]
+        pool = policy.candidate_pool
+        items = scores.items()
+        if len(ranked_scores) > pool:
+            threshold = ranked_scores[pool - 1]
+            items = [item for item in items if item[1] >= threshold]
+        ranked = sorted(items, key=lambda kv: (-kv[1], kv[0]))
         return [
             (score / max_score, self._index.page(doc_id))
-            for doc_id, score in ranked[: policy.candidate_pool]
+            for doc_id, score in ranked[:pool]
         ]
 
     def score_components(
@@ -254,23 +273,65 @@ class Retriever:
         query_text: str = "",
     ) -> dict[str, float]:
         """The persona score broken into named weighted contributions."""
-        age = self._corpus.clock.age_days(page.published)
-        jitter = 0.0
-        if policy.selection_jitter:
-            jitter = derive_rng("select", query_text, page.url).uniform(
-                -policy.selection_jitter, policy.selection_jitter
+        [(__, terms)] = self._persona_scores(policy, query_text, [(relevance, page)])
+        return dict(zip(COMPONENTS, terms))
+
+    def _persona_scores(
+        self,
+        policy: SourcingPolicy,
+        query_text: str,
+        pool: list[tuple[float, Page]],
+    ) -> list[tuple[float, tuple[float, ...]]]:
+        """``(total, terms)`` per pool entry: the persona formula.
+
+        ``terms`` are the weighted contributions in :data:`COMPONENTS`
+        order and ``total`` adds them left to right: the float that
+        ``sum(terms)`` returns up to CPython 3.11, since ``sum`` starts
+        from the integer ``0`` and ``0 + x == x`` (3.12's ``sum`` of
+        floats is compensated, so the explicit fold keeps the pinned
+        totals on every version).  Every persona score (selection,
+        ``explain``, :meth:`score_components`) comes from here.
+        """
+        relevance_weight = policy.relevance_weight
+        freshness_weight = policy.freshness_weight
+        half_life = policy.freshness_half_life_days
+        authority_weight = policy.authority_weight
+        quality_weight = policy.quality_weight
+        familiarity_pull = policy.familiarity_pull
+        selection_jitter = policy.selection_jitter
+        age_days = self._corpus.clock.age_days
+        type_affinity = self._type_affinity
+        authority = self._search_engine.domain_authority
+        familiarity = self.familiarity
+        jitter_seeds = SeedPrefix("select", query_text) if selection_jitter else None
+        scored = []
+        for relevance, page in pool:
+            domain = page.domain
+            jitter = 0.0
+            if jitter_seeds is not None:
+                jitter = jitter_seeds.rng(page.url).uniform(
+                    -selection_jitter, selection_jitter
+                )
+            weighted_relevance = relevance_weight * relevance
+            affinity = type_affinity(policy, page)
+            freshness = freshness_weight * freshness_decay(
+                age_days(page.published), half_life
             )
-        return {
-            "relevance": policy.relevance_weight * relevance,
-            "type_affinity": self._type_affinity(policy, page),
-            "freshness": policy.freshness_weight
-            * freshness_decay(age, policy.freshness_half_life_days),
-            "authority": policy.authority_weight
-            * self._search_engine.domain_authority(page.domain),
-            "quality": policy.quality_weight * page.quality,
-            "familiarity": policy.familiarity_pull * self.familiarity(page.domain),
-            "jitter": jitter,
-        }
+            weighted_authority = authority_weight * authority(domain)
+            quality = quality_weight * page.quality
+            pull = familiarity_pull * familiarity(domain)
+            total = (
+                weighted_relevance + affinity + freshness + weighted_authority
+                + quality + pull + jitter
+            )
+            scored.append((
+                total,
+                (
+                    weighted_relevance, affinity, freshness, weighted_authority,
+                    quality, pull, jitter,
+                ),
+            ))
+        return scored
 
     def explain(
         self,
@@ -301,20 +362,18 @@ class Retriever:
                 query_text, policy, intent=intent, pool=pool
             )
         }
-        scored = []
-        for relevance, page in pool:
-            components = self.score_components(
-                effective, page, relevance, query_text
+        scored = [
+            ScoredCandidate(
+                page=page,
+                relevance=relevance,
+                components=dict(zip(COMPONENTS, terms)),
+                total=total,
+                selected=page.url in selected_urls,
             )
-            scored.append(
-                ScoredCandidate(
-                    page=page,
-                    relevance=relevance,
-                    components=components,
-                    total=sum(components.values()),
-                    selected=page.url in selected_urls,
-                )
+            for (relevance, page), (total, terms) in zip(
+                pool, self._persona_scores(effective, query_text, pool)
             )
+        ]
         scored.sort(key=lambda c: (-c.total, c.page.doc_id))
         return scored[:top]
 
@@ -362,8 +421,10 @@ class Retriever:
         if pool is None:
             pool = self.candidates(query_text, effective)
         scored = [
-            (self.persona_score(effective, page, relevance, query_text), page)
-            for relevance, page in pool
+            (total, page)
+            for (total, __), (__, page) in zip(
+                self._persona_scores(effective, query_text, pool), pool
+            )
         ]
         scored.sort(key=lambda item: (-item[0], item[1].doc_id))
 

@@ -49,6 +49,10 @@ class ContextWindow(Sequence[EvidenceSnippet]):
 
     def __init__(self, snippets: Iterable[EvidenceSnippet]) -> None:
         self._snippets = tuple(snippets)
+        #: Memoized :meth:`fingerprint` (``None`` until first asked).
+        #: Published by a single attribute store: a racing first call
+        #: computes and stores the same integer.
+        self._fingerprint: int | None = None
 
     def __len__(self) -> int:
         return len(self._snippets)
@@ -67,6 +71,9 @@ class ContextWindow(Sequence[EvidenceSnippet]):
         Two windows with the same snippets in a different order have
         different fingerprints — the mechanism behind order sensitivity.
         """
+        cached = self._fingerprint
+        if cached is not None:
+            return cached
         parts: list[object] = ["ctx"]
         for snippet in self._snippets:
             parts.append(snippet.url)
@@ -75,7 +82,8 @@ class ContextWindow(Sequence[EvidenceSnippet]):
             for entity_id in sorted(snippet.entity_stance):
                 parts.append(entity_id)
                 parts.append(round(snippet.entity_stance[entity_id], 6))
-        return derive_seed(*parts)
+        fingerprint = self._fingerprint = derive_seed(*parts)
+        return fingerprint
 
     def support(self, entity_id: str) -> list[tuple[int, EvidenceSnippet]]:
         """(position, snippet) pairs mentioning ``entity_id``, in order."""

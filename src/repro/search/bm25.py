@@ -8,7 +8,10 @@ vertical keyword can appear in most documents.
 :meth:`BM25Scorer.score_terms` is the query fast path: term-at-a-time
 accumulation over the index's frozen postings arrays, with the per-doc
 length norm ``k1 * (1 - b + b * dl/avgdl)`` precomputed once per index
-epoch so the per-posting work is one multiply-add and one divide.  It is
+epoch.  A term's per-posting gain ``idf * tf * (k1 + 1) / (tf + norm)``
+depends only on the term and the document, so the first query that reads
+a term computes its gains once into an ``array('d')`` aligned with the
+term's postings; later queries do one dict add per posting.  It is
 **bit-identical** to :meth:`score_terms_reference` — the original
 postings-walking implementation, kept as the equivalence oracle — because
 every float is produced by the same operations in the same order; the
@@ -19,6 +22,7 @@ two to exact equality.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Mapping, Sequence
 from typing import Protocol
 
@@ -26,6 +30,10 @@ from repro.search.index import InvertedIndex
 from repro.search.tokenize import tokenize
 
 __all__ = ["BM25Scorer", "CorpusStats"]
+
+#: A term's ``(doc_ids, gains)``: the postings' doc ids and each
+#: posting's BM25 contribution, or ``None`` for a zero-IDF term.
+TermGains = tuple[Sequence[int], array] | None
 
 
 class CorpusStats(Protocol):
@@ -80,6 +88,12 @@ class BM25Scorer:
         #: single attribute store (see the sharing contract): a racing
         #: rebuild under the thread executor swaps in an identical table.
         self._norm_table: tuple[int, Sequence[float] | Mapping[int, float]] | None = None
+        #: ``(epoch, term -> TermGains)`` — filled one term at a time on
+        #: first use and dropped wholesale when the index epoch moves.
+        #: A new epoch's table is published by a single attribute store
+        #: and each entry by a single dict store; racing fills under the
+        #: thread executor store identical gains.
+        self._gain_table: tuple[int, dict[str, TermGains]] | None = None
 
     def idf(self, term: str) -> float:
         """Non-negative inverse document frequency for an analyzed term."""
@@ -96,6 +110,10 @@ class BM25Scorer:
         if self._stats.average_doc_length != 0.0:
             self._norms()
         return self
+
+    def clear_gains(self) -> None:
+        """Drop the per-term gain table (the next query refills it)."""
+        self._gain_table = None
 
     def _norms(self) -> Sequence[float] | Mapping[int, float]:
         epoch = self._index.epoch
@@ -122,24 +140,47 @@ class BM25Scorer:
         """BM25 scores for every document matching at least one term."""
         return self.score_terms(tokenize(query))
 
+    def _term_gains(self, term: str) -> TermGains:
+        """The term's per-posting gains at the current epoch (memoized)."""
+        epoch = self._index.epoch
+        tagged = self._gain_table
+        if tagged is None or tagged[0] != epoch:
+            tagged = (epoch, {})
+            self._gain_table = tagged
+        table = tagged[1]
+        if term in table:
+            return table[term]
+        entry: TermGains = None
+        idf = self.idf(term)
+        if idf != 0.0:
+            norms = self._norms()
+            k1_plus_1 = self._k1 + 1.0
+            doc_ids, tfs = self._index.postings_arrays(term)
+            entry = (
+                doc_ids,
+                array(
+                    "d",
+                    [
+                        idf * tf * k1_plus_1 / (tf + norms[doc_id])
+                        for doc_id, tf in zip(doc_ids, tfs)
+                    ],
+                ),
+            )
+        table[term] = entry
+        return entry
+
     def score_terms(self, terms: Sequence[str]) -> dict[int, float]:
         """BM25 scores from pre-analyzed query terms (the fast path)."""
         scores: dict[int, float] = {}
         if self._stats.average_doc_length == 0.0:
             return scores
-        norms = self._norms()
-        k1_plus_1 = self._k1 + 1.0
-        postings_arrays = self._index.postings_arrays
         get = scores.get
         for term in terms:
-            idf = self.idf(term)
-            if idf == 0.0:
+            entry = self._term_gains(term)
+            if entry is None:
                 continue
-            doc_ids, tfs = postings_arrays(term)
-            for doc_id, tf in zip(doc_ids, tfs):
-                scores[doc_id] = get(doc_id, 0.0) + (
-                    idf * tf * k1_plus_1 / (tf + norms[doc_id])
-                )
+            for doc_id, gain in zip(*entry):
+                scores[doc_id] = get(doc_id, 0.0) + gain
         return scores
 
     def score_all_reference(self, query: str) -> dict[int, float]:

@@ -415,3 +415,7 @@ class SearchEngine:
     def clear_query_cache(self) -> None:
         """Drop cached query results (e.g. between benchmark rounds)."""
         self._query_cache.clear()
+
+    def clear_gains(self) -> None:
+        """Drop the scorer's per-term BM25 gain table."""
+        self._scorer.clear_gains()

@@ -618,6 +618,14 @@ class ShardedSearchEngine(SearchEngine):
         self._shard_scorer_table = (epoch, scorers)
         return scorers
 
+    def clear_gains(self) -> None:
+        """Drop the gain tables of the merged and the per-shard scorers."""
+        super().clear_gains()
+        tagged = self._shard_scorer_table
+        if tagged is not None:
+            for scorer in tagged[1]:
+                scorer.clear_gains()
+
     # ------------------------------------------------------------------
     # Resilient scatter
 
