@@ -25,6 +25,7 @@ def _cold(world) -> None:
     for engine in world.engines.values():
         engine.clear_cache()
     world.evidence_cache.clear()
+    world.search_engine.clear_gains()  # the shared scorer's BM25 gain tables
 
 
 def _timed_fig1(world, workers: int, timings: dict) -> object:

@@ -221,12 +221,12 @@ class InterventionLab:
         catalog = self._base.catalog
 
         search_engine = SearchEngine(corpus, registry)
+        retriever = Retriever(corpus, registry, search_engine)
         engines = build_engines(
-            corpus, registry, catalog, search_engine,
+            corpus, retriever, catalog, search_engine,
             study_seed=config.seed,
             prior_corpus=base_corpus,
         )
-        retriever = Retriever(corpus, registry, search_engine)
         return replace(
             self._base,
             corpus=corpus,

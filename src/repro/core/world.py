@@ -115,10 +115,10 @@ class World:
             )
         else:
             search_engine = SearchEngine(corpus, registry)
-        engines = build_engines(
-            corpus, registry, catalog, search_engine, study_seed=config.seed
-        )
         retriever = Retriever(corpus, registry, search_engine)
+        engines = build_engines(
+            corpus, retriever, catalog, search_engine, study_seed=config.seed
+        )
         _log.info(
             "ecosystem assembled: %d engines, index of %d docs (%.2fs)",
             len(engines), search_engine.index.doc_count,
@@ -155,14 +155,14 @@ class World:
         """Attach a resilience context to every fault site in this world.
 
         Wires the context through the engines (``"engine.answer"``), the
-        retriever (``"retrieval.select_sources"``), the evidence cache
-        (``"evidence.context"``), and — on a sharded substrate — the
-        search engine's scatter (``"search.shard"``); the runner picks
-        it up from ``world.resilience`` for chunk containment.  Passing
-        ``None`` detaches everything, restoring the exact
-        pre-resilience paths.  Forked pool workers inherit the wired
-        world copy-on-write, so fault decisions — pure functions of the
-        plan seed — agree on both sides of the fork.
+        one retriever they share (``"retrieval.select_sources"``), the
+        evidence cache (``"evidence.context"``), and — on a sharded
+        substrate — the search engine's scatter (``"search.shard"``);
+        the runner picks it up from ``world.resilience`` for chunk
+        containment.  Passing ``None`` detaches everything, restoring
+        the exact pre-resilience paths.  Forked pool workers inherit the
+        wired world copy-on-write, so fault decisions — pure functions
+        of the plan seed — agree on both sides of the fork.
         """
         self.resilience = context
         for engine in self.engines.values():
@@ -200,7 +200,6 @@ class World:
         for engine in self.engines.values():
             engine.clear_cache()
         self.evidence_cache.clear()
-        self.retriever.clear_gains()
         self.search_engine.clear_query_cache()
         self.search_engine.clear_gains()
         self.search_engine.snippet_cache.clear()

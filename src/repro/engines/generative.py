@@ -87,21 +87,6 @@ class GenerativeEngine(AnswerEngine):
         self._catalog = catalog
         self._policy = policy
 
-    def set_resilience(self, context) -> None:
-        """Wire the context through the engine AND its retriever.
-
-        The engine fleet shares one retriever that is distinct from the
-        world's evidence retriever, so the engine must propagate the
-        context to its own collaborator (idempotent across the fleet).
-        """
-        super().set_resilience(context)
-        self._retriever.set_resilience(context)
-
-    def clear_cache(self) -> None:
-        """Drop memoized answers and the retriever's BM25 gain table."""
-        super().clear_cache()
-        self._retriever.clear_gains()
-
     @property
     def policy(self) -> SourcingPolicy:
         return self._policy

@@ -20,7 +20,6 @@ from repro.llm.pretraining import PretrainedKnowledge
 from repro.llm.rng import derive_seed
 from repro.search.engine import SearchEngine
 from repro.webgraph.corpus import Corpus
-from repro.webgraph.domains import DomainRegistry
 
 __all__ = ["AI_ENGINE_NAMES", "ENGINE_NAMES", "build_engines"]
 
@@ -32,7 +31,7 @@ AI_ENGINE_NAMES = ENGINE_NAMES[1:]
 
 def build_engines(
     corpus: Corpus,
-    registry: DomainRegistry,
+    retriever: Retriever,
     catalog: EntityCatalog,
     search_engine: SearchEngine,
     *,
@@ -40,6 +39,9 @@ def build_engines(
     prior_corpus: Corpus | None = None,
 ) -> dict[str, AnswerEngine]:
     """Build the five compared systems, keyed by display name.
+
+    The four generative engines share ``retriever`` — the world's one
+    retriever over ``search_engine``'s index and scorer.
 
     ``study_seed`` derives a distinct model seed per engine, so each LLM
     has its own pre-training noise realization (as distinct commercial
@@ -50,7 +52,6 @@ def build_engines(
     uses this to model content that is live on the web (retrievable) but
     published after the models' training cut (absent from priors).
     """
-    retriever = Retriever(corpus, registry, search_engine)
     knowledge_corpus = prior_corpus if prior_corpus is not None else corpus
 
     def llm_for(engine_name: str) -> SimulatedLLM:

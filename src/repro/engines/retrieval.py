@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 
 from repro.entities.intents import Intent
 from repro.llm.rng import SeedPrefix
-from repro.search.bm25 import BM25Scorer
 from repro.search.engine import SearchEngine
 from repro.search.seo import freshness_decay
 from repro.webgraph.corpus import Corpus
@@ -153,10 +152,10 @@ class Retriever:
     ) -> None:
         self._corpus = corpus
         self._registry = registry
-        # The engines share Google's *index* (one corpus, one index) but
-        # score candidates with pure BM25 — persona logic replaces SEO.
-        # Warmed eagerly so forked pool workers inherit the norm table.
-        self._scorer = BM25Scorer(search_engine.index).warm()
+        # The engines share Google's index *and* its BM25 scorer (one
+        # corpus, one index, one scorer) but rank candidates by pure
+        # BM25 — persona logic replaces SEO.
+        self._scorer = search_engine.scorer
         self._index = search_engine.index
         self._search_engine = search_engine
         #: Optional ResilienceContext guarding select_sources (the
@@ -185,10 +184,6 @@ class Retriever:
         answers cannot outlive the postings they were computed from.
         """
         return self._index.epoch
-
-    def clear_gains(self) -> None:
-        """Drop the candidate scorer's per-term BM25 gain table."""
-        self._scorer.clear_gains()
 
     def set_resilience(self, context) -> None:
         """Attach (or detach, with ``None``) a resilience context.

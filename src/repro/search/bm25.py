@@ -12,11 +12,12 @@ epoch.  A term's per-posting gain ``idf * tf * (k1 + 1) / (tf + norm)``
 depends only on the term and the document, so the first query that reads
 a term computes its gains once into an ``array('d')`` aligned with the
 term's postings; later queries do one dict add per posting.  It is
-**bit-identical** to :meth:`score_terms_reference` — the original
-postings-walking implementation, kept as the equivalence oracle — because
+**bit-identical** to the original posting-walk implementation, which
+lives with the tests as an oracle (``tests/search_oracles.py``), because
 every float is produced by the same operations in the same order; the
 property tests in ``tests/search/test_fastpath_equivalence.py`` hold the
-two to exact equality.
+two to exact equality.  A world builds one scorer per index, the search
+engine's, which the retriever reads too.
 """
 
 from __future__ import annotations
@@ -181,31 +182,4 @@ class BM25Scorer:
                 continue
             for doc_id, gain in zip(*entry):
                 scores[doc_id] = get(doc_id, 0.0) + gain
-        return scores
-
-    def score_all_reference(self, query: str) -> dict[int, float]:
-        """Reference scores for a raw query (see :meth:`score_terms_reference`)."""
-        return self.score_terms_reference(tokenize(query))
-
-    def score_terms_reference(self, terms: Sequence[str]) -> dict[int, float]:
-        """The original posting-walk implementation, kept as the oracle.
-
-        Property tests assert ``score_terms`` matches this bit-for-bit;
-        do not "optimize" it — its value is being the unchanged original.
-        """
-        scores: dict[int, float] = {}
-        avg_len = self._stats.average_doc_length
-        if avg_len == 0.0:
-            return scores
-        for term in terms:
-            idf = self.idf(term)
-            if idf == 0.0:
-                continue
-            for posting in self._index.postings(term):
-                tf = posting.term_frequency
-                norm = 1.0 - self._b + self._b * (
-                    self._index.doc_length(posting.doc_id) / avg_len
-                )
-                gain = idf * tf * (self._k1 + 1.0) / (tf + self._k1 * norm)
-                scores[posting.doc_id] = scores.get(posting.doc_id, 0.0) + gain
         return scores

@@ -6,16 +6,16 @@ per registrable domain, as Google clusters same-site results), and
 ``search_with_snippets`` additionally attaches query-biased snippets —
 the evidence format the generative engines consume.
 
-The query path is an *exact fast path*: term-at-a-time BM25 accumulation
-over the frozen index (:meth:`BM25Scorer.score_terms`), per-page static
-blend components precomputed once per index epoch, bounded-heap top-m
-selection with host-crowding headroom (falling back to full selection
-when crowding exhausts the headroom), and a lock-guarded bounded query
-cache keyed on ``(analyzed terms, k, index epoch)``.  Every float it
-produces comes from the same operations in the same order as
-:meth:`search_reference` — the original score-everything-then-sort
-pipeline, kept verbatim as the equivalence oracle — so rankings, scores,
-and snippets are byte-identical (see
+There is one query path: BM25 score pools from ``_scatter_scores`` (one
+per shard in the sharded engine), per-page static blend components
+precomputed once per index epoch, bounded-heap top-m selection with
+host-crowding headroom (falling back to full selection when crowding
+exhausts the headroom) in ``_merge_ranked``, and a lock-guarded bounded
+query cache keyed on ``(analyzed terms, k, index epoch)``.  Every float
+it produces comes from the same operations in the same order as the
+original score-everything-then-sort pipeline, kept as a test oracle in
+``tests/search_oracles.py``, so rankings, scores and snippets are
+byte-identical (see
 ``tests/search/test_fastpath_equivalence.py`` and the "Query fast path"
 section of ``docs/architecture.md``).
 """
@@ -25,17 +25,21 @@ from __future__ import annotations
 import heapq
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.search.bm25 import BM25Scorer
 from repro.search.caching import BoundedCache, CacheCounters
 from repro.search.index import InvertedIndex
 from repro.search.pagerank import pagerank
 from repro.search.seo import SeoWeights, freshness_decay
-from repro.search.snippets import SnippetCache, extract_snippet
+from repro.search.snippets import SnippetCache
 from repro.search.tokenize import tokenize
 from repro.webgraph.corpus import Corpus
 from repro.webgraph.domains import DomainRegistry
 from repro.webgraph.pages import Page
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.resilience.coverage import ShardCoverage
 
 __all__ = ["SearchEngine", "SearchResult", "Snippet"]
 
@@ -64,7 +68,7 @@ class Snippet:
 #: (authority, on-page SEO, freshness) blend terms for one page, each
 #: already multiplied by its weight.  Kept as three separate floats — not
 #: pre-summed — because float addition is non-associative and the blend
-#: must reproduce the reference's left-to-right ``a + b + c + d``.
+#: must reproduce the oracle's left-to-right ``a + b + c + d``.
 _Statics = Sequence[tuple[float, float, float]] | Mapping[int, tuple[float, float, float]]
 
 
@@ -124,8 +128,7 @@ class SearchEngine:
         self._static_table: tuple[int, _Statics] | None = None
         #: World-level query-result cache: ``(terms, k, epoch)`` ->
         #: tuple of :class:`SearchResult`.  Lock-guarded and bounded;
-        #: only the fast path uses it (a custom :class:`SeoWeights`
-        #: subclass routes through the uncached reference pipeline).
+        #: a partial-coverage page never enters it.
         self._query_cache = BoundedCache(
             limit=self.QUERY_CACHE_LIMIT,
             site="SearchEngine._query_cache",
@@ -148,13 +151,18 @@ class SearchEngine:
         the sharing contract in repro.core.runner)."""
         self._index.freeze()
         self._scorer.warm()
-        if type(self._weights) is SeoWeights and self._corpus.pages:
+        if self._corpus.pages:
             self._statics()
 
     @property
     def index(self) -> InvertedIndex:
         """The underlying inverted index (read-only use)."""
         return self._index
+
+    @property
+    def scorer(self) -> BM25Scorer:
+        """The BM25 scorer over :attr:`index`, shared with the retriever."""
+        return self._scorer
 
     def domain_authority(self, domain: str) -> float:
         """Blended authority in ``[0, 1]``.
@@ -165,15 +173,15 @@ class SearchEngine:
         return self._authority.get(domain, self.UNKNOWN_DOMAIN_AUTHORITY)
 
     # ------------------------------------------------------------------
-    # Fast path
+    # Ranking
 
     def _statics(self) -> _Statics:
         """Per-doc ``(authority, seo, freshness)`` blend terms, weighted.
 
         Epoch-tagged like the scorer's norm table; each term is exactly
-        the product the reference blend computes for that page, so
+        the product the four-signal blend computes for that page, so
         summing them left-to-right after the relevance term reproduces
-        :meth:`SeoWeights.blend` bit-for-bit.
+        the blend bit-for-bit.
         """
         epoch = self._index.epoch
         cached = self._static_table
@@ -208,69 +216,88 @@ class SearchEngine:
         self._static_table = (epoch, table)
         return table
 
-    def _rank_fast_cacheable(
-        self, terms: Sequence[str], k: int
-    ) -> tuple[list[SearchResult], bool]:
-        """Rank plus a cacheability verdict for the query cache.
+    def _scatter_scores(
+        self, terms: Sequence[str]
+    ) -> "tuple[list[dict[int, float] | None], ShardCoverage | None]":
+        """BM25 score pools plus the coverage lost: here one full pool.
 
-        The single-index path always covers the whole corpus, so its
-        pages are always cacheable.  The sharded engine overrides this
-        to report partial coverage (a shard lost past the resilience
-        ladder), which :meth:`search` must not memoize.
+        The sharded engine returns one pool per shard instead, ``None``
+        for a shard lost past the resilience ladder.
         """
-        return self._rank_fast(terms, k), True
+        return [self._scorer.score_terms(terms)], None
 
-    def _rank_fast(self, terms: Sequence[str], k: int) -> list[SearchResult]:
-        """Exact top-``k``: accumulate, bounded-heap select, crowd.
+    def _merge_ranked(
+        self, shard_scores: Sequence[dict[int, float] | None], k: int
+    ) -> list[SearchResult]:
+        """Exact top-``k``: blend, bounded-heap select, crowd.
 
-        ``heapq.nsmallest(m, items)`` is documented to equal
-        ``sorted(items)[:m]``; the items are ``(-blended, doc_id)`` pairs
-        (negation of a float is exact, ``doc_id`` is unique), so the
-        heap's order is exactly the reference's ``(-score, doc_id)``
-        sort.  Host crowding then scans that prefix; if the ``m = k ×
-        max_per_domain`` headroom is exhausted before ``k`` results are
-        found, the selection falls back to the fully sorted pool, which
-        *is* the reference pipeline's order.
+        ``heapq.nsmallest(m, items)`` equals ``sorted(items)[:m]`` and
+        the items are ``(-blended, doc_id)`` pairs, so each pool's heap
+        prefix is its ``(-score, doc_id)`` sort prefix; every global
+        top-``m`` item is in its own pool's prefix, so the sorted,
+        truncated union of prefixes is the global one.  Crowding scans
+        it; if the ``m = k × max_per_domain`` headroom runs dry first,
+        the fully sorted union of every pool replaces it.  ``None`` and
+        empty pools (lost shards) are skipped, so a partial merge is
+        the full merge of a corpus without the lost shards' documents.
         """
-        bm25 = self._scorer.score_terms(terms)
-        if not bm25:
+        if not any(shard_scores):
             return []
-        max_bm25 = max(bm25.values())
+        max_bm25 = max(
+            max(scores.values()) for scores in shard_scores if scores
+        )
         statics = self._statics()
         w_rel = self._weights.relevance
-        if max_bm25:
-            items = [
-                (
-                    -(
-                        (w_rel * (raw / max_bm25) + (s := statics[doc_id])[0] + s[1])
-                        + s[2]
-                    ),
-                    doc_id,
-                )
-                for doc_id, raw in bm25.items()
-            ]
-        else:
-            items = [
-                (
-                    -(
-                        (w_rel * 0.0 + (s := statics[doc_id])[0] + s[1])
-                        + s[2]
-                    ),
-                    doc_id,
-                )
-                for doc_id, raw in bm25.items()
-            ]
         headroom = k * self._max_per_domain
-        if headroom < len(items):
-            top: Sequence[tuple[float, int]] = heapq.nsmallest(headroom, items)
-        else:
-            items.sort()
-            top = items
+        pools: list[list[tuple[float, int]]] = []
+        gathered: list[tuple[float, int]] = []
+        total = 0
+        for scores in shard_scores:
+            if not scores:
+                continue
+            total += len(scores)
+            if max_bm25:
+                items = [
+                    (
+                        -(
+                            (
+                                w_rel * (raw / max_bm25)
+                                + (s := statics[doc_id])[0]
+                                + s[1]
+                            )
+                            + s[2]
+                        ),
+                        doc_id,
+                    )
+                    for doc_id, raw in scores.items()
+                ]
+            else:
+                items = [
+                    (
+                        -(
+                            (w_rel * 0.0 + (s := statics[doc_id])[0] + s[1])
+                            + s[2]
+                        ),
+                        doc_id,
+                    )
+                    for doc_id, raw in scores.items()
+                ]
+            pools.append(items)
+            if headroom < len(items):
+                gathered.extend(heapq.nsmallest(headroom, items))
+            else:
+                gathered.extend(items)
+        gathered.sort()
+        top: Sequence[tuple[float, int]] = (
+            gathered[:headroom] if headroom < len(gathered) else gathered
+        )
         results = self._crowd(top, k)
-        if len(results) < k and len(top) < len(items):
-            # Crowding ate the headroom: fall back to the full ordering.
-            items.sort()
-            results = self._crowd(items, k)
+        if len(results) < k and len(top) < total:
+            # Crowding ate the headroom: fall back to the full ordering
+            # over every scored document.
+            full = [item for items in pools for item in items]
+            full.sort()
+            results = self._crowd(full, k)
         return results
 
     def _crowd(
@@ -306,17 +333,14 @@ class SearchEngine:
         """Organic top-``k`` for ``query``."""
         if k < 1:
             raise ValueError("k must be at least 1")
-        if type(self._weights) is not SeoWeights:
-            # A blend override means the precomputed statics don't
-            # describe the ranking; take the uncached reference path.
-            return self.search_reference(query, k)
         terms = tuple(tokenize(query))
         key = (terms, k, self._index.epoch)
         cached = self._query_cache.get(key)
         if cached is not None:
             return list(cached)
-        results, cacheable = self._rank_fast_cacheable(terms, k)
-        if not cacheable:
+        shard_scores, coverage = self._scatter_scores(terms)
+        results = self._merge_ranked(shard_scores, k)
+        if coverage is not None:
             # A partial-coverage page (shards lost past the resilience
             # ladder) is never memoized: the next identical query must
             # re-scatter and regain full coverage the moment the shard
@@ -339,70 +363,6 @@ class SearchEngine:
                 page=result.page,
             )
             for result in results
-        ]
-
-    # ------------------------------------------------------------------
-    # Reference pipeline (equivalence oracle)
-
-    def search_reference(self, query: str, k: int = 10) -> list[SearchResult]:
-        """The original score-everything-then-sort pipeline, verbatim.
-
-        Property tests hold :meth:`search` to bit-identical output; do
-        not "optimize" it — its value is being the unchanged original.
-        """
-        if k < 1:
-            raise ValueError("k must be at least 1")
-        bm25 = self._scorer.score_all_reference(query)
-        if not bm25:
-            return []
-        max_bm25 = max(bm25.values())
-
-        candidates = []
-        for doc_id, raw in bm25.items():
-            page = self._index.page(doc_id)
-            relevance = raw / max_bm25 if max_bm25 else 0.0
-            blended = self._weights.blend(
-                relevance=relevance,
-                authority=self.domain_authority(page.domain),
-                on_page_seo=page.seo_score,
-                age_days=self._corpus.clock.age_days(page.published),
-            )
-            candidates.append((blended, doc_id, page))
-        # Deterministic order: score desc, then doc_id for exact ties.
-        candidates.sort(key=lambda item: (-item[0], item[1]))
-
-        results: list[SearchResult] = []
-        per_domain: dict[str, int] = {}
-        for score, doc_id, page in candidates:
-            seen = per_domain.get(page.domain, 0)
-            if seen >= self._max_per_domain:
-                continue
-            per_domain[page.domain] = seen + 1
-            results.append(
-                SearchResult(
-                    rank=len(results) + 1,
-                    url=page.url,
-                    domain=page.domain,
-                    score=score,
-                    page=page,
-                )
-            )
-            if len(results) == k:
-                break
-        return results
-
-    def search_with_snippets_reference(
-        self, query: str, k: int = 10
-    ) -> list[Snippet]:
-        """Reference evidence pairs via :func:`extract_snippet`."""
-        return [
-            Snippet(
-                text=extract_snippet(result.page, query),
-                url=result.url,
-                domain=result.domain,
-                page=result.page,
-            )
-            for result in self.search_reference(query, k)
         ]
 
     # ------------------------------------------------------------------

@@ -49,19 +49,3 @@ class SeoWeights:
             raise ValueError("freshness_half_life_days must be positive")
         if self.relevance + self.authority + self.on_page_seo + self.freshness == 0:
             raise ValueError("at least one weight must be positive")
-
-    def blend(
-        self,
-        relevance: float,
-        authority: float,
-        on_page_seo: float,
-        age_days: int,
-    ) -> float:
-        """Weighted sum of the four normalized signals."""
-        fresh = freshness_decay(age_days, self.freshness_half_life_days)
-        return (
-            self.relevance * relevance
-            + self.authority * authority
-            + self.on_page_seo * on_page_seo
-            + self.freshness * fresh
-        )

@@ -458,7 +458,7 @@ class ResidentShardedSearchEngine(ShardedSearchEngine):
 
     def _warm(self) -> None:
         super()._warm()
-        if type(self._weights) is SeoWeights and self._corpus.pages:
+        if self._corpus.pages:
             self._supervisor()
 
     def supervisor(self) -> ShardSupervisor:

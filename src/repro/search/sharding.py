@@ -6,8 +6,9 @@ per-shard :class:`~repro.search.index.InvertedIndex` /
 every shard and gather through an exact top-k merge.  The contract is
 **float-exactness**: for any shard count, :class:`ShardedSearchEngine`
 returns byte-identical results to the single-shard
-:class:`~repro.search.engine.SearchEngine` (and therefore to
-``search_reference``).  Three mechanisms carry that contract:
+:class:`~repro.search.engine.SearchEngine` (and therefore to the
+score-everything oracle in ``tests/search_oracles.py``).  Three
+mechanisms carry that contract:
 
 * **Pure partition function.** :func:`shard_of` is plain arithmetic on
   ``doc_id`` — no RNG, no state — so the assignment of documents to
@@ -21,17 +22,14 @@ returns byte-identical results to the single-shard
   corpus-wide numbers identical to the single index's, and the scoring
   *operations* are untouched, so per-document scores are float-exact.
 
-* **Scatter-gather top-k with exact merge.** Each shard runs the
-  term-at-a-time bounded-heap fast path with the same ``k x
-  max_per_domain`` headroom; because ``heapq.nsmallest(m, items)``
-  equals ``sorted(items)[:m]`` and every global top-m item is a top-m
-  item of its own shard, sorting the concatenated per-shard prefixes
-  and truncating to the headroom reproduces the single-shard selection
-  exactly.  Domain crowding is re-applied over that merged prefix; if
-  crowding exhausts it, the merge falls back to the fully sorted union
-  of *all* scored documents — the same fallback the single-shard path
-  takes.  The whole fast path stays gated by the exact-``SeoWeights``
-  check, so blend subclasses route to the uncached reference oracles.
+* **Scatter-gather top-k with exact merge.** The engine overrides only
+  the scatter: each shard scores its own postings, and the inherited
+  ``SearchEngine._merge_ranked`` takes every pool's bounded-heap prefix
+  with the same ``k x max_per_domain`` headroom.  Because
+  ``heapq.nsmallest(m, items)`` equals ``sorted(items)[:m]`` and every
+  global top-m item is a top-m item of its own shard, sorting the
+  concatenated prefixes and truncating to the headroom reproduces the
+  single-shard selection exactly, crowding fallback included.
 
 Shard index builds parallelize over a ``fork`` process pool using the
 same handshake pattern as ``repro.core.runner._WORKER_WORLD``: page
@@ -52,7 +50,6 @@ table stay correct without knowing about shards.
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 import warnings
 from collections.abc import Mapping, Sequence
@@ -63,7 +60,7 @@ from repro.resilience.coverage import ShardCoverage
 from repro.resilience.faults import InjectedFault, ResilienceExhausted
 from repro.resilience.quarantine import QuarantineRecord
 from repro.search.bm25 import BM25Scorer
-from repro.search.engine import SearchEngine, SearchResult
+from repro.search.engine import SearchEngine
 from repro.search.index import InvertedIndex, Posting
 from repro.search.seo import SeoWeights
 from repro.webgraph.corpus import Corpus
@@ -333,8 +330,8 @@ class ShardedIndex(InvertedIndex):
     Presents the full :class:`InvertedIndex` API — statistics from the
     merged :class:`GlobalStats`, per-document accessors routed by
     :func:`shard_of`, postings lazily merged by ascending ``doc_id`` —
-    so epoch-agnostic consumers (the retriever, the reference scorer)
-    work over a sharded corpus unchanged and produce the exact
+    so the engine's scorer over the facade (which the retriever reads)
+    works over a sharded corpus unchanged and produces the exact
     single-index floats.
 
     :attr:`epoch` is the **composite epoch**: the sum of the shard
@@ -531,17 +528,16 @@ class ShardedSearchEngine(SearchEngine):
     """Organic search over a document-partitioned corpus.
 
     A drop-in :class:`SearchEngine`: the public query API, the caches,
-    the authority model and the reference oracles are all inherited.
-    What changes is underneath — :meth:`_build_index` partitions the
-    corpus and builds per-shard indexes (in parallel when ``builders >
-    1``), and :meth:`_rank_fast` scatters scoring across per-shard
-    scorers built against the broadcast :class:`GlobalStats`, then
-    gathers through the exact merge described in the module docstring.
+    the authority model and the ranking path are all inherited.  What
+    changes is underneath — :meth:`_build_index` partitions the corpus
+    and builds per-shard indexes (in parallel when ``builders > 1``),
+    and :meth:`_scatter_scores` scatters scoring across per-shard
+    scorers built against the broadcast :class:`GlobalStats`; the
+    inherited merge gathers them exactly, as described in the module
+    docstring.
 
-    The inherited ``search`` keeps its exact-``SeoWeights`` gate (blend
-    subclasses take the uncached reference path over the facade index)
-    and its epoch-keyed query cache — the facade's composite epoch
-    makes those keys coherent across shard mutations.
+    The inherited query cache is epoch-keyed — the facade's composite
+    epoch makes those keys coherent across shard mutations.
     """
 
     def __init__(
@@ -594,7 +590,7 @@ class ShardedSearchEngine(SearchEngine):
 
     def _warm(self) -> None:
         super()._warm()
-        if type(self._weights) is SeoWeights and self._corpus.pages:
+        if self._corpus.pages:
             self._shard_scorers()
 
     def _shard_scorers(self) -> tuple[BM25Scorer, ...]:
@@ -725,104 +721,3 @@ class ShardedSearchEngine(SearchEngine):
             )
         )
         return shard_scores, coverage
-
-    def _rank_fast_cacheable(
-        self, terms: Sequence[str], k: int
-    ) -> tuple[list[SearchResult], bool]:
-        """Scatter, merge, and report whether coverage was complete.
-
-        A partial merge (lost shards) must not enter the query cache —
-        the cache key carries the index epoch, and a recovered shard
-        does not move it, so a memoized partial page would replay its
-        ranking skew forever.
-        """
-        shard_scores, coverage = self._scatter_scores(terms)
-        return self._merge_ranked(shard_scores, k), coverage is None
-
-    def _rank_fast(self, terms: Sequence[str], k: int) -> list[SearchResult]:
-        """Scatter-gather top-``k``, float-exact vs the single-shard path.
-
-        Each shard scores its own documents (global stats, local
-        postings) and selects its bounded-heap top-``m`` with the same
-        ``m = k x max_per_domain`` headroom the single-shard path uses.
-        The gathered prefixes are sorted and truncated to ``m`` — by
-        the subset argument in the module docstring this equals
-        ``sorted(all items)[:m]`` exactly — then domain crowding runs
-        over the merged prefix.  If crowding exhausts it while scored
-        documents remain un-gathered, the fallback re-sorts the *full*
-        union, matching the single-shard fallback order.
-        """
-        shard_scores, __ = self._scatter_scores(terms)
-        return self._merge_ranked(shard_scores, k)
-
-    def _merge_ranked(
-        self, shard_scores: Sequence, k: int
-    ) -> list[SearchResult]:
-        """The exact gather half of the scatter: merge per-shard scores.
-
-        ``None`` entries (shards lost past the resilience ladder) and
-        empty dicts are skipped alike, so the merge over the survivors
-        is *by construction* the full merge of a corpus that never had
-        the lost shards' documents — float-exact for the shards that
-        answered, with ``max_bm25`` renormalized over the survivors
-        exactly as a smaller corpus would.  All shards lost means an
-        empty page, never an exception.
-        """
-        if not any(shard_scores):
-            return []
-        max_bm25 = max(
-            max(scores.values()) for scores in shard_scores if scores
-        )
-        statics = self._statics()
-        w_rel = self._weights.relevance
-        headroom = k * self._max_per_domain
-        pools: list[list[tuple[float, int]]] = []
-        gathered: list[tuple[float, int]] = []
-        total = 0
-        for scores in shard_scores:
-            if not scores:
-                continue
-            total += len(scores)
-            if max_bm25:
-                items = [
-                    (
-                        -(
-                            (
-                                w_rel * (raw / max_bm25)
-                                + (s := statics[doc_id])[0]
-                                + s[1]
-                            )
-                            + s[2]
-                        ),
-                        doc_id,
-                    )
-                    for doc_id, raw in scores.items()
-                ]
-            else:
-                items = [
-                    (
-                        -(
-                            (w_rel * 0.0 + (s := statics[doc_id])[0] + s[1])
-                            + s[2]
-                        ),
-                        doc_id,
-                    )
-                    for doc_id, raw in scores.items()
-                ]
-            pools.append(items)
-            if headroom < len(items):
-                gathered.extend(heapq.nsmallest(headroom, items))
-            else:
-                gathered.extend(items)
-        gathered.sort()
-        top: Sequence[tuple[float, int]] = (
-            gathered[:headroom] if headroom < len(gathered) else gathered
-        )
-        results = self._crowd(top, k)
-        if len(results) < k and len(top) < total:
-            # Crowding ate the merged headroom: fall back to the full
-            # ordering over every scored document, like the single shard.
-            full = [item for items in pools for item in items]
-            full.sort()
-            results = self._crowd(full, k)
-        return results

@@ -21,6 +21,7 @@ from repro.llm.context import ContextWindow
 from repro.search.bm25 import BM25Scorer
 from repro.search.seo import freshness_decay
 from repro.webgraph.pages import Page
+from tests.search_oracles import score_all_reference
 
 #: ``(seed, search_shards)`` of the worlds every exactness check runs on.
 WORLD_PARAMS = [(seed, shards) for seed in (7, 11) for shards in (0, 4)]
@@ -73,7 +74,7 @@ def candidates_full_sort(
     if policy.reformulation_terms:
         reformulated = f"{query_text} {' '.join(policy.reformulation_terms)}"
     index = retriever._index
-    scores = BM25Scorer(index).score_all_reference(reformulated)
+    scores = score_all_reference(BM25Scorer(index), reformulated)
     if not scores:
         return []
     max_score = max(scores.values())

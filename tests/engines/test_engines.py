@@ -25,7 +25,7 @@ class TestRegistry:
 
     def test_rebuild_is_identical(self, world):
         engines = build_engines(
-            world.corpus, world.registry, world.catalog, world.search_engine,
+            world.corpus, world.retriever, world.catalog, world.search_engine,
             study_seed=world.config.seed,
         )
         query = ranking_queries(world.catalog, count=1, seed=3)[0]
@@ -36,7 +36,7 @@ class TestRegistry:
 
     def test_different_study_seed_changes_ai_answers(self, world):
         engines = build_engines(
-            world.corpus, world.registry, world.catalog, world.search_engine,
+            world.corpus, world.retriever, world.catalog, world.search_engine,
             study_seed=world.config.seed + 1,
         )
         query = ranking_queries(world.catalog, count=1, seed=3)[0]

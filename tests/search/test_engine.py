@@ -12,6 +12,7 @@ from repro.webgraph.corpus import CorpusConfig, CorpusGenerator
 from repro.webgraph.domains import build_default_registry
 from repro.webgraph.pages import DateMarkup, Page, PageKind
 from repro.webgraph.urls import registrable_domain
+from tests.search_oracles import blend
 
 
 @pytest.fixture(scope="module")
@@ -43,11 +44,11 @@ class TestFreshnessDecay:
 class TestSeoWeights:
     def test_blend_monotone_in_each_signal(self):
         weights = SeoWeights()
-        base = weights.blend(0.5, 0.5, 0.5, 100)
-        assert weights.blend(0.9, 0.5, 0.5, 100) > base
-        assert weights.blend(0.5, 0.9, 0.5, 100) > base
-        assert weights.blend(0.5, 0.5, 0.9, 100) > base
-        assert weights.blend(0.5, 0.5, 0.5, 10) > base
+        base = blend(weights, 0.5, 0.5, 0.5, 100)
+        assert blend(weights, 0.9, 0.5, 0.5, 100) > base
+        assert blend(weights, 0.5, 0.9, 0.5, 100) > base
+        assert blend(weights, 0.5, 0.5, 0.9, 100) > base
+        assert blend(weights, 0.5, 0.5, 0.5, 10) > base
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):

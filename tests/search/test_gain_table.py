@@ -2,7 +2,7 @@
 
 ``BM25Scorer.score_terms`` reads each term's per-posting gains from a
 table filled on first use and tagged with the index epoch.  These tests
-hold it to the unchanged ``score_terms_reference`` on single and
+hold it to the unchanged ``score_terms_reference`` oracle on single and
 sharded worlds, after index growth, after ``World.clear_caches()`` and
 under concurrent first use.
 """
@@ -20,6 +20,7 @@ from repro.search.tokenize import tokenize
 from repro.webgraph.corpus import CorpusConfig, CorpusGenerator
 from repro.webgraph.domains import build_default_registry
 from tests.answer_path_oracles import WORLD_IDS, WORLD_PARAMS, build_world, workload
+from tests.search_oracles import score_all_reference, score_terms_reference
 
 
 @pytest.fixture(scope="module", params=WORLD_PARAMS, ids=WORLD_IDS)
@@ -28,7 +29,7 @@ def world(request):
 
 
 def _world_scorers(world):
-    """Every in-process BM25 scorer the world's answer path reads."""
+    """Every distinct in-process BM25 scorer the world's answer path reads."""
     scorers = [world.retriever._scorer, world.search_engine._scorer]
     scorers += [
         engine._retriever._scorer
@@ -37,7 +38,7 @@ def _world_scorers(world):
     shard_table = getattr(world.search_engine, "_shard_scorer_table", None)
     if shard_table is not None:
         scorers += list(shard_table[1])
-    return scorers
+    return list({id(scorer): scorer for scorer in scorers}.values())
 
 
 class TestWorldScorers:
@@ -45,7 +46,7 @@ class TestWorldScorers:
         for scorer in _world_scorers(world):
             for query in workload(world):
                 terms = tokenize(query)
-                reference = scorer.score_terms_reference(terms)
+                reference = score_terms_reference(scorer, terms)
                 assert scorer.score_terms(terms) == reference  # fills
                 assert scorer.score_terms(terms) == reference  # reads
 
@@ -90,7 +91,7 @@ class TestEpochCoherence:
         for offset, page in enumerate(corpus.pages[-40:]):
             index.add(page)
             for query in QUERIES:
-                assert scorer.score_all(query) == scorer.score_all_reference(query)
+                assert scorer.score_all(query) == score_all_reference(scorer, query)
             assert scorer._gain_table[0] == index.epoch == filled_at + offset + 1
 
     def test_growth_reaches_new_postings(self, corpus):
@@ -104,7 +105,7 @@ class TestEpochCoherence:
         index.add(clone)
         after = scorer.score_all("hybrid suv review")
         assert clone.doc_id in after and clone.doc_id not in before
-        assert after == scorer.score_all_reference("hybrid suv review")
+        assert after == score_all_reference(scorer, "hybrid suv review")
 
     def test_zero_idf_terms_are_memoized_as_skipped(self, corpus):
         index = _index(corpus.pages)
@@ -120,8 +121,8 @@ class TestEpochCoherence:
 
         scorer = BM25Scorer(index, stats=Saturated())
         assert scorer.idf("suv") == 0.0
-        assert scorer.score_all("hybrid suv") == {} == scorer.score_all_reference(
-            "hybrid suv"
+        assert scorer.score_all("hybrid suv") == {} == score_all_reference(
+            scorer, "hybrid suv"
         )
         assert scorer._gain_table[1] == {"hybrid": None, "suv": None}
 
@@ -135,7 +136,7 @@ class TestEpochCoherence:
     def test_concurrent_first_use_is_exact(self, corpus):
         # Racing fills store identical gains; every thread sees exact scores.
         scorer = BM25Scorer(_index(corpus.pages)).warm()
-        reference = {q: scorer.score_all_reference(q) for q in QUERIES}
+        reference = {q: score_all_reference(scorer, q) for q in QUERIES}
         mismatches = []
         barrier = threading.Barrier(6)
 

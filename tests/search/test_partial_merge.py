@@ -35,6 +35,7 @@ from tests.search.test_sharded_equivalence import (
     shard_world,  # noqa: F401 - module-scoped fixture, re-registered here
     sharded_engines,  # noqa: F401 - module-scoped fixture, re-registered here
 )
+from tests.search_oracles import blend
 
 
 def _context(plan_text: str, seed: int = 0) -> ResilienceContext:
@@ -61,7 +62,8 @@ def _expected_partial(engine, query: str, dead: set[int], k: int):
     for doc_id, raw in merged.items():
         page = index.page(doc_id)
         relevance = raw / max_bm25 if max_bm25 else 0.0
-        blended = engine._weights.blend(
+        blended = blend(
+            engine._weights,
             relevance=relevance,
             authority=engine.domain_authority(page.domain),
             on_page_seo=page.seo_score,

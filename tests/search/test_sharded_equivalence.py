@@ -2,9 +2,10 @@
 
 The sharding tentpole's contract: for any shard count,
 ``ShardedSearchEngine`` must reproduce the single-shard ``SearchEngine``
-— and therefore ``search_reference`` — *bit for bit*: same rankings,
-same float scores, same snippet strings, same page identities.  Every
-assertion here is exact equality, never ``approx``.
+— and therefore ``search_reference`` (``tests/search_oracles.py``) —
+*bit for bit*: same rankings, same float scores, same snippet strings,
+same page identities.  Every assertion here is exact equality, never
+``approx``.
 
 Edge cases the merge must survive: a term present in only one shard, an
 entirely empty shard, crowding-fallback engagement inside the merge
@@ -23,7 +24,6 @@ from repro.entities.queries import (
 )
 from repro.search.bm25 import BM25Scorer
 from repro.search.engine import SearchEngine
-from repro.search.seo import SeoWeights
 from repro.search.sharding import (
     ShardedIndex,
     ShardedSearchEngine,
@@ -38,6 +38,7 @@ from repro.webgraph.dates import StudyClock
 from repro.webgraph.domains import build_default_registry
 from repro.webgraph.linkgraph import LinkGraph
 from repro.webgraph.pages import DateMarkup, Page, PageKind
+from tests.search_oracles import search_reference
 
 SEEDS = (3, 11, 23)
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -163,7 +164,7 @@ class TestShardedEquivalence:
         sharded = sharded_engines(shards)
         for query in _workload(catalog, seed):
             fast = sharded.search(query, 10)
-            ref = sharded.search_reference(query, 10)
+            ref = search_reference(sharded, query, 10)
             assert [(r.url, r.score) for r in fast] == [
                 (r.url, r.score) for r in ref
             ]
@@ -330,23 +331,11 @@ class TestShardEdgeCases:
                 fast = sharded.search(query, k)
                 if len(crowd_calls) == 2:
                     fallbacks += 1
-                ref = sharded.search_reference(query, k)
+                ref = search_reference(sharded, query, k)
                 assert [(r.url, r.score) for r in fast] == [
                     (r.url, r.score) for r in ref
                 ]
         assert fallbacks > 0, "workload never exhausted the merged headroom"
-
-    def test_blend_subclass_routes_to_reference(self, shard_world):
-        __, __, registry, corpus, __ = shard_world
-        boosted = ShardedSearchEngine(
-            corpus, registry, _BoostedAuthority(), shards=4
-        )
-        query = "best smartphones"
-        assert [(r.url, r.score) for r in boosted.search(query, k=10)] == [
-            (r.url, r.score) for r in boosted.search_reference(query, k=10)
-        ]
-        # The reference path never touches the query cache.
-        assert boosted.query_cache_stats().misses == 0
 
     def test_sparse_doc_ids(self):
         """Non-contiguous ids: routing stays pure-arithmetic and the
@@ -437,13 +426,3 @@ class TestParallelBuildEquivalence:
         assert index.epoch == epoch + 1
         assert index.document_frequency("fresh") >= 1
         assert index.page(100001) is extra
-
-
-class _BoostedAuthority(SeoWeights):
-    """A blend override: the fast path must not apply to subclasses."""
-
-    def blend(self, relevance, authority, on_page_seo, age_days):
-        return (
-            super().blend(relevance, authority, on_page_seo, age_days)
-            + 0.5 * authority
-        )

@@ -1,9 +1,10 @@
 """Perf smoke gate for the search-substrate fast path.
 
-Measures the *speedup ratio* between each fast path and its in-tree
-reference implementation — search vs ``search_reference`` (cache-cold),
-``score_terms`` vs ``score_terms_reference``, and the warm snippet cache
-vs ``extract_snippet`` — and fails if any live ratio has regressed more
+Measures the *speedup ratio* between each fast path and its reference
+implementation — search vs ``search_reference`` (cache-cold),
+``score_terms`` vs ``score_terms_reference`` (both oracles from
+``tests/search_oracles.py``), and the warm snippet cache vs
+``extract_snippet`` — and fails if any live ratio has regressed more
 than 25% below the ratio recorded in ``BENCH_search.json``.
 
 Comparing ratios rather than wall-clock times makes the gate
@@ -38,6 +39,7 @@ import time
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))  # the oracles live with the tests
 
 from repro.entities import build_default_catalog
 from repro.entities.queries import (
@@ -53,6 +55,7 @@ from repro.search.snippets import SnippetCache, extract_snippet
 from repro.search.tokenize import tokenize
 from repro.webgraph.corpus import CorpusConfig, CorpusGenerator
 from repro.webgraph.domains import build_default_registry
+from tests import search_oracles
 
 BENCH_JSON = REPO_ROOT / "BENCH_search.json"
 
@@ -131,7 +134,7 @@ def measure_ratios() -> dict[str, float]:
 
     def search_reference():
         for text in texts:
-            engine.search_reference(text, 10)
+            search_oracles.search_reference(engine, text, 10)
 
     def bm25_fast():
         for terms in term_lists:
@@ -139,7 +142,7 @@ def measure_ratios() -> dict[str, float]:
 
     def bm25_reference():
         for terms in term_lists:
-            scorer.score_terms_reference(terms)
+            search_oracles.score_terms_reference(scorer, terms)
 
     snippet_cache = SnippetCache()
     query = texts[0]
